@@ -23,7 +23,7 @@ arm and compares outcome-by-outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from ...cluster.failures import ChaosInjector, ChaosPlan
 from ...cluster.resources import cpu_task, server_node
@@ -35,7 +35,7 @@ from ...faas.platforms import WASM
 from ...sim.deadline import DeadlineExceededError
 from ...sim.engine import Simulator
 from ...sim.rng import RandomStream
-from ..result import ExperimentResult
+from ..result import ExperimentResult, fingerprint, pinned
 from ..tables import fmt_ms
 
 
@@ -303,3 +303,75 @@ def run_chaos() -> ExperimentResult:
             "crashes. The whole schedule replays bit-identically from "
             "one seed.",
         ])
+
+
+# -- regression gate (``repro.bench.regress --gate chaos``) -------------
+
+#: Chaos-arm fields compared exactly: the fault schedule, retries,
+#: hedges, and every request outcome replay deterministically.
+PINNED_CHAOS_FIELDS = ("offered", "ok", "deadline_exceeded", "errors",
+                       "retries", "hedges", "hedge_wins", "failovers",
+                       "faults_injected", "outcome_fingerprint")
+
+
+def _chaos_arm_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
+    """One chaos arm with the bulky outcome list folded to a digest."""
+    doc = {k: v for k, v in arm.items() if k != "outcomes"}
+    doc["outcome_fingerprint"] = fingerprint(arm["outcomes"])
+    return doc
+
+
+def run_chaos_gate() -> Dict[str, Any]:
+    """Replay the pinned short chaos comparison (naive vs hardened)."""
+    res = run_chaos_arms(SHORT)
+    return {
+        "experiment": "E21 pinned short chaos (naive vs hardened)",
+        "config": res["config"],
+        "deadline_eps_s": DEADLINE_EPS,
+        "naive": _chaos_arm_doc(res["naive"]),
+        "hardened": _chaos_arm_doc(res["hardened"]),
+        "unhedged": {k: res["unhedged"][k]
+                     for k in ("requests", "p50_s", "p99_s")},
+        "hedged": {k: res["hedged"][k]
+                   for k in ("requests", "p50_s", "p99_s", "hedges",
+                             "hedge_wins", "duplicate_fraction")},
+        "replay_identical": res["replay_identical"],
+    }
+
+
+def compare_chaos(current: Dict[str, Any],
+                  baseline: Dict[str, Any]) -> List[str]:
+    """Violations of the chaos gate against its baseline doc."""
+    violations = pinned(current, baseline, ("naive", "hardened"),
+                        PINNED_CHAOS_FIELDS, "chaos")
+    naive, hardened = current.get("naive", {}), current.get("hardened", {})
+    if hardened.get("goodput", 0.0) <= naive.get("goodput", 1.0):
+        violations.append(
+            f"chaos: hardened goodput {hardened.get('goodput', 0.0):.1%} "
+            f"does not beat naive {naive.get('goodput', 1.0):.1%}")
+    deadline = current.get("config", {}).get("deadline_s", 0.0)
+    eps = current.get("deadline_eps_s", 0.0)
+    worst = hardened.get("max_time_to_outcome_s", 0.0)
+    if worst > deadline + eps:
+        violations.append(
+            f"chaos: a hardened client was blocked {worst:.6f} s, past "
+            f"its {deadline} s deadline")
+    hedged_p99 = current.get("hedged", {}).get("p99_s", 0.0)
+    unhedged_p99 = current.get("unhedged", {}).get("p99_s", 0.0)
+    if hedged_p99 >= unhedged_p99:
+        violations.append(
+            f"chaos: hedging no longer cuts the gray p99 "
+            f"({hedged_p99:.6f} s vs {unhedged_p99:.6f} s unhedged)")
+    if not current.get("replay_identical", False):
+        violations.append("chaos: run is no longer outcome-identical "
+                          "when replayed from its seed")
+    return violations
+
+
+def chaos_summary(doc: Dict[str, Any]) -> str:
+    """The chaos gate's one-line report."""
+    return (f"goodput {doc['naive']['goodput']:.1%} (naive) -> "
+            f"{doc['hardened']['goodput']:.1%} (hardened), "
+            f"{doc['naive']['faults_injected']} faults, gray p99 "
+            f"{doc['unhedged']['p99_s'] * 1e3:.1f} ms -> "
+            f"{doc['hedged']['p99_s'] * 1e3:.1f} ms hedged")

@@ -38,7 +38,7 @@ from ...core.functions import FunctionImpl
 from ...core.system import PCSICloud
 from ...faas.platforms import GPU_CONTAINER, NPU_CONTAINER
 from ...sim.engine import Simulator
-from ..result import ExperimentResult
+from ..result import ExperimentResult, fingerprint, pinned
 from ..tables import fmt_ms
 
 SEED = 2222
@@ -244,3 +244,84 @@ def run_attribution_drift() -> ExperimentResult:
             "loop only overrides the model once observed evidence "
             "clears the min-samples guard.",
         ])
+
+
+# -- regression gate (``repro.bench.regress --gate attribution``) -------
+
+#: Attribution-arm fields compared exactly: the decision digest pins
+#: which impl served every request, the latency digest every request's
+#: exact duration.
+PINNED_ATTRIBUTION_FIELDS = ("mode", "decision_fingerprint",
+                             "latency_fingerprint")
+
+ATTRIBUTION_ARMS = ("static", "ema", "forced_gpu", "forced_npu")
+
+
+def _attribution_arm_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
+    """One drift arm with its bulky sequences folded to digests."""
+    decisions = arm["decisions"]
+    return {
+        "mode": arm["mode"],
+        "phase1_mean_s": arm["phase1_mean_s"],
+        "phase2_mean_s": arm["phase2_mean_s"],
+        "decision_fingerprint": fingerprint(decisions),
+        "latency_fingerprint": fingerprint(
+            arm["phase1_latencies"] + arm["phase2_latencies"]),
+        "phase2_all_npu": all(d == "npu"
+                              for d in decisions[PHASE1_REQUESTS:]),
+        "phase1_all_npu": all(d == "npu"
+                              for d in decisions[:PHASE1_REQUESTS]),
+    }
+
+
+def run_attribution_gate() -> Dict[str, Any]:
+    """Replay the pinned drift comparison (all four arms)."""
+    res = run_attribution_arms()
+    doc: Dict[str, Any] = {
+        "experiment": "E22 pinned drift (static vs observation-fed)",
+        "config": res["config"],
+        "oracle_phase2_mean_s": res["oracle_phase2_mean_s"],
+        "gap_closed": res["gap_closed"],
+        "min_gap_closed": MIN_GAP_CLOSED,
+        "ema_flip_index": res["ema_flip_index"],
+    }
+    for arm in ATTRIBUTION_ARMS:
+        doc[arm] = _attribution_arm_doc(res[arm])
+    return doc
+
+
+def compare_attribution(current: Dict[str, Any],
+                        baseline: Dict[str, Any]) -> List[str]:
+    """Violations of the attribution gate against its baseline doc."""
+    violations = pinned(current, baseline, ATTRIBUTION_ARMS,
+                        PINNED_ATTRIBUTION_FIELDS, "attribution")
+    min_gap = baseline.get("min_gap_closed", 0.0)
+    gap_closed = current.get("gap_closed", 0.0)
+    if gap_closed < min_gap:
+        violations.append(
+            f"attribution: observed arm closes {gap_closed:.1%} of the "
+            f"static-to-oracle gap, below the required {min_gap:.0%}")
+    if current.get("ema_flip_index") != baseline.get("ema_flip_index"):
+        violations.append(
+            f"attribution: ema arm migrated after "
+            f"{current.get('ema_flip_index')} post-drift requests vs "
+            f"pinned {baseline.get('ema_flip_index')}")
+    if not current.get("static", {}).get("phase2_all_npu", False):
+        violations.append(
+            "attribution: the static arm no longer reproduces the "
+            "open-loop failure (it left the drifted NPU)")
+    for arm in ("static", "ema"):
+        if not current.get(arm, {}).get("phase1_all_npu", False):
+            violations.append(
+                f"attribution: {arm} arm did not serve the healthy "
+                f"phase entirely from the NPU")
+    return violations
+
+
+def attribution_summary(doc: Dict[str, Any]) -> str:
+    """The attribution gate's one-line report."""
+    return (f"post-drift {doc['static']['phase2_mean_s'] * 1e3:.1f} ms "
+            f"(static) -> {doc['ema']['phase2_mean_s'] * 1e3:.1f} ms "
+            f"(observed), oracle "
+            f"{doc['oracle_phase2_mean_s'] * 1e3:.1f} ms, gap closed "
+            f"{doc['gap_closed']:.1%}")

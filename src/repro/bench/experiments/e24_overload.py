@@ -34,8 +34,6 @@ pinned ``static`` observation mode.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -49,7 +47,7 @@ from ...sim.deadline import DeadlineExceededError
 from ...sim.engine import Simulator
 from ...sim.rng import RandomStream
 from ...workloads.arrivals import OpenLoopDriver, TenantMix, TenantSpec
-from ..result import ExperimentResult
+from ..result import ExperimentResult, fingerprint, pinned
 
 
 @dataclass(frozen=True)
@@ -310,10 +308,7 @@ def _fingerprint_run(cfg: OverloadRunConfig,
 
     cloud.sim.spawn(arrival_loop(), name="fp-load")
     cloud.run()
-    payload = json.dumps([outcomes, cloud.sim._seq,
-                          repr(cloud.sim.now)],
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return fingerprint([outcomes, cloud.sim._seq, repr(cloud.sim.now)])
 
 
 def run_overload_arms(cfg: OverloadRunConfig) -> Dict[str, Any]:
@@ -406,3 +401,126 @@ def run_overload() -> ExperimentResult:
             "NoAdmission front door is byte-identical to the seed "
             "scheduler path.",
         ])
+
+
+# -- regression gate (``repro.bench.regress --gate overload``) ----------
+
+#: Sweep-point fields compared exactly: arrivals, admission decisions,
+#: and deadline outcomes all replay deterministically.
+PINNED_OVERLOAD_FIELDS = ("offered", "ok", "deadline_miss", "throttled",
+                          "shed", "per_tenant_fingerprint")
+
+#: Hog-run fields compared exactly per arm.
+PINNED_HOG_FIELDS = ("offered", "ok", "hog_ok", "polite_offered",
+                     "polite_ok")
+
+#: Scale-smoke fields compared exactly (1000 tenants through the
+#: gateway).
+PINNED_SCALE_FIELDS = ("tenants", "offered", "ok", "deadline_miss",
+                       "throttled", "shed", "tenants_served")
+
+
+def _overload_point_doc(point: Dict[str, Any]) -> Dict[str, Any]:
+    """One sweep point with the per-tenant ok list folded to a digest."""
+    doc = {k: v for k, v in point.items() if k != "per_tenant_ok"}
+    doc["per_tenant_fingerprint"] = fingerprint(point["per_tenant_ok"])
+    return doc
+
+
+def run_overload_gate() -> Dict[str, Any]:
+    """Replay the pinned short overload sweep (none vs gateway)."""
+    res = run_overload_arms(SHORT)
+    return {
+        "experiment": "E24 pinned short overload sweep "
+                      "(none vs gateway)",
+        "config": res["config"],
+        "sweep": {
+            arm: {mult: _overload_point_doc(point)
+                  for mult, point in res["sweep"][arm].items()}
+            for arm in ("none", "gateway")
+        },
+        "gated_peak_rps": res["gated_peak_rps"],
+        "none_peak_rps": res["none_peak_rps"],
+        "gated_fraction_at_top": res["gated_fraction_at_top"],
+        "none_fraction_at_top": res["none_fraction_at_top"],
+        "jain_at_top": res["jain_at_top"],
+        "min_gated_fraction": MIN_GATED_FRACTION,
+        "max_unprotected_fraction": MAX_UNPROTECTED_FRACTION,
+        "min_jain": MIN_JAIN,
+        "hog_none": res["hog_none"],
+        "hog_gateway": res["hog_gateway"],
+        "scale": res["scale"],
+        "direct_fingerprint": res["direct_fingerprint"],
+        "noadmission_fingerprint": res["noadmission_fingerprint"],
+        "noadmission_identical": res["noadmission_identical"],
+    }
+
+
+def compare_overload(current: Dict[str, Any],
+                     baseline: Dict[str, Any]) -> List[str]:
+    """Violations of the overload gate against its baseline doc."""
+    violations: List[str] = []
+    for arm in ("none", "gateway"):
+        base_pts = baseline.get("sweep", {}).get(arm, {})
+        cur_pts = current.get("sweep", {}).get(arm, {})
+        points = {f"{arm}@{m}x": m
+                  for m in sorted(set(base_pts) | set(cur_pts), key=float)}
+        violations += pinned(
+            {label: cur_pts.get(m, {}) for label, m in points.items()},
+            {label: base_pts.get(m, {}) for label, m in points.items()},
+            list(points), PINNED_OVERLOAD_FIELDS, "overload")
+    min_gated = baseline.get("min_gated_fraction", 0.0)
+    gated_frac = current.get("gated_fraction_at_top", 0.0)
+    if gated_frac < min_gated:
+        violations.append(
+            f"overload: gateway holds only {gated_frac:.1%} of its "
+            f"peak goodput at the top multiplier (required >= "
+            f"{min_gated:.0%})")
+    max_none = baseline.get("max_unprotected_fraction", 1.0)
+    none_frac = current.get("none_fraction_at_top", 1.0)
+    if none_frac >= max_none:
+        violations.append(
+            f"overload: the unprotected arm retains {none_frac:.1%} "
+            f"of its peak at the top multiplier — it no longer "
+            f"collapses (expected < {max_none:.0%}), so the "
+            "comparison is not exercising overload")
+    min_jain = baseline.get("min_jain", 0.0)
+    jain = current.get("jain_at_top", 0.0)
+    if jain < min_jain:
+        violations.append(
+            f"overload: Jain fairness {jain:.3f} among equal-weight "
+            f"tenants at the top multiplier (required >= {min_jain})")
+    violations += pinned(current, baseline, ("hog_none", "hog_gateway"),
+                         PINNED_HOG_FIELDS, "overload")
+    gated_polite = current.get("hog_gateway", {}).get("polite_goodput",
+                                                      0.0)
+    none_polite = current.get("hog_none", {}).get("polite_goodput", 1.0)
+    if gated_polite <= none_polite:
+        violations.append(
+            f"overload: per-tenant buckets no longer protect polite "
+            f"tenants from the hog ({gated_polite:.1%} gated vs "
+            f"{none_polite:.1%} unprotected)")
+    violations += pinned(current, baseline, ("scale",),
+                         PINNED_SCALE_FIELDS, "overload")
+    if current.get("noadmission_fingerprint") \
+            != baseline.get("noadmission_fingerprint"):
+        violations.append(
+            f"overload: NoAdmission fingerprint "
+            f"{current.get('noadmission_fingerprint')} vs pinned "
+            f"{baseline.get('noadmission_fingerprint')}")
+    if not current.get("noadmission_identical", False):
+        violations.append(
+            "overload: the NoAdmission pass-through is no longer "
+            "byte-identical to the seed scheduler path")
+    return violations
+
+
+def overload_summary(doc: Dict[str, Any]) -> str:
+    """The overload gate's one-line report."""
+    identical = "identical" if doc["noadmission_identical"] \
+        else "DIVERGED"
+    return (f"goodput at 4x: {doc['none_fraction_at_top']:.1%} of peak "
+            f"(unprotected) vs {doc['gated_fraction_at_top']:.1%} "
+            f"(gateway), Jain {doc['jain_at_top']:.3f}, "
+            f"{doc['scale']['tenants']} tenants OK, pass-through "
+            f"{identical}")

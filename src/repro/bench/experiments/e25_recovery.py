@@ -31,8 +31,6 @@ falls below that bar.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -47,7 +45,7 @@ from ...faas.platforms import WASM
 from ...sim.deadline import DeadlineExceededError
 from ...sim.engine import Simulator
 from ...sim.rng import RandomStream
-from ..result import ExperimentResult
+from ..result import ExperimentResult, fingerprint, pinned
 
 
 @dataclass(frozen=True)
@@ -253,7 +251,7 @@ def run_recovery_arm(cfg: RecoveryRunConfig,
         "crashes_total": sum(1 for ev in events
                              if ev.kind in ("crash", "recover")),
         "ejections": 0,
-        "fingerprint": _fingerprint(outcomes, sim),
+        "fingerprint": fingerprint([outcomes, sim._seq, repr(sim.now)]),
     }
     if detection:
         health = cloud.health
@@ -289,12 +287,6 @@ def _detection_latencies(events, confirmations) -> List[float]:
                 latencies.append(at - ev.at)
                 break
     return latencies
-
-
-def _fingerprint(outcomes, sim) -> str:
-    payload = json.dumps([outcomes, sim._seq, repr(sim.now)],
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def run_recovery_arms(cfg: RecoveryRunConfig) -> Dict[str, Any]:
@@ -373,3 +365,85 @@ def run_recovery() -> ExperimentResult:
             "them; the detection-off arm loses every orphaned batch "
             "invoke and keeps feeding the gray node's warm executor.",
         ])
+
+
+# -- regression gate (``repro.bench.regress --gate recovery``) ----------
+
+#: Per-arm fields compared exactly: arrivals, faults, detection, and
+#: recovery all replay deterministically.
+PINNED_RECOVERY_FIELDS = ("offered", "front", "batch", "errors",
+                          "fault_events", "orphaned", "recovered",
+                          "deduped", "ejections", "crashes_detected",
+                          "crashes_total", "detection_latencies",
+                          "fingerprint")
+
+
+def run_recovery_gate() -> Dict[str, Any]:
+    """Replay the pinned short chaos-storm MTTR run (both arms)."""
+    res = run_recovery_arms(SHORT)
+    return {
+        "experiment": "E25 pinned short chaos-storm MTTR "
+                      "(detection vs none)",
+        "config": res["config"],
+        "detection": res["detection"],
+        "none": res["none"],
+        "recovery_ratio": res["recovery_ratio"],
+        "min_recovered_ratio": MIN_RECOVERED_RATIO,
+        "min_orphans": MIN_ORPHANS,
+        "min_on_retention": MIN_ON_RETENTION,
+        "max_off_retention": MAX_OFF_RETENTION,
+        "max_detection_latency": MAX_DETECTION_LATENCY,
+    }
+
+
+def compare_recovery(current: Dict[str, Any],
+                     baseline: Dict[str, Any]) -> List[str]:
+    """Violations of the recovery gate against its baseline doc."""
+    violations = pinned(current, baseline, ("detection", "none"),
+                        PINNED_RECOVERY_FIELDS, "recovery")
+    on = current.get("detection", {})
+    off = current.get("none", {})
+    min_ratio = baseline.get("min_recovered_ratio", 0.0)
+    ratio = current.get("recovery_ratio", 0.0)
+    if ratio < min_ratio:
+        violations.append(
+            f"recovery: only {ratio:.1%} of orphaned in-flight invokes "
+            f"were recovered (required >= {min_ratio:.0%})")
+    min_orphans = baseline.get("min_orphans", 0)
+    if on.get("orphaned", 0) < min_orphans:
+        violations.append(
+            f"recovery: the storm orphaned only "
+            f"{on.get('orphaned', 0)} invokes (required >= "
+            f"{min_orphans}), so it is not exercising crash recovery")
+    min_on = baseline.get("min_on_retention", 0.0)
+    on_ret = on.get("goodput_retention", 0.0)
+    if on_ret < min_on:
+        violations.append(
+            f"recovery: the detection arm holds only {on_ret:.1%} of "
+            f"its pre-fault goodput through the storm (required >= "
+            f"{min_on:.0%})")
+    max_off = baseline.get("max_off_retention", 1.0)
+    off_ret = off.get("goodput_retention", 1.0)
+    if off_ret >= max_off:
+        violations.append(
+            f"recovery: the detection-off arm retains {off_ret:.1%} of "
+            f"its pre-fault goodput — the storm no longer hurts it "
+            f"(expected < {max_off:.0%}), so the comparison is not "
+            "exercising the health plane")
+    max_latency = baseline.get("max_detection_latency", float("inf"))
+    det_max = on.get("detection_latency_max", 0.0)
+    if det_max > max_latency:
+        violations.append(
+            f"recovery: worst crash-detection latency {det_max:.2f} s "
+            f"(required <= {max_latency:.1f} s)")
+    return violations
+
+
+def recovery_summary(doc: Dict[str, Any]) -> str:
+    """The recovery gate's one-line report."""
+    on = doc["detection"]
+    return (f"storm goodput {doc['none']['goodput_retention']:.1%} "
+            f"(detection off) -> {on['goodput_retention']:.1%} "
+            f"(health plane), {on['recovered']}/{on['orphaned']} "
+            f"orphans recovered, {on['ejections']} ejections, worst "
+            f"detect {on['detection_latency_max'] * 1e3:.0f} ms")

@@ -60,7 +60,7 @@ from ...sim.engine import Simulator
 from ...sim.rng import RandomStream
 from ...sim.sketch import max_quantile_rel_err
 from ..slo import BurnRateWindow, SLOTracker
-from ..result import ExperimentResult
+from ..result import ExperimentResult, fingerprint, pinned
 from ..tables import fmt_ms
 
 SEED = 2626
@@ -352,3 +352,120 @@ def run_tail_drift() -> ExperimentResult:
             f"latency stream: {res['sketch_rel_err']:.2%} "
             f"(bound {MAX_SKETCH_REL_ERR:.0%}).",
         ])
+
+
+# -- regression gate (``repro.bench.regress --gate tail``) --------------
+
+#: Objective-arm fields compared exactly: the decision digest pins the
+#: p99 flip and the mean non-flip, the latency digest every request's
+#: exact duration, and the SLO fields the burn-rate alerting.
+PINNED_TAIL_OBJECTIVE_FIELDS = ("objective", "decision_fingerprint",
+                                "latency_fingerprint", "flip_index",
+                                "stuck_on_bimodal", "slo_alerts")
+
+#: Hedge-arm fields compared exactly per arm.
+PINNED_TAIL_HEDGE_FIELDS = ("mode", "latency_fingerprint", "hedges",
+                            "hedge_wins")
+
+
+def _tail_objective_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
+    """One objective arm with its bulky sequences folded to digests."""
+    return {
+        "objective": arm["objective"],
+        "mean_s": arm["mean_s"],
+        "p99_s": arm["p99_s"],
+        "decision_fingerprint": fingerprint(arm["decisions"]),
+        "latency_fingerprint": fingerprint(arm["latencies"]),
+        "flip_index": arm["flip_index"],
+        "stuck_on_bimodal": arm["stuck_on_bimodal"],
+        "slo_alerts": arm["slo_alerts"],
+        "slo_final_burn": arm["slo_final_burn"],
+        "slo_attainment": arm["slo_attainment"],
+        "sketch_rel_err": arm["sketch_rel_err"],
+    }
+
+
+def _tail_hedge_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
+    """One hedge arm with its latency sequence folded to a digest."""
+    return {
+        "mode": arm["mode"],
+        "mean_s": arm["mean_s"],
+        "p50_s": arm["p50_s"],
+        "p99_s": arm["p99_s"],
+        "latency_fingerprint": fingerprint(arm["latencies"]),
+        "hedges": arm["hedges"],
+        "hedge_wins": arm["hedge_wins"],
+        "launch_fraction": arm["launch_fraction"],
+        "sketch_rel_err": arm["sketch_rel_err"],
+    }
+
+
+def run_tail_gate() -> Dict[str, Any]:
+    """Replay the pinned tail comparison (all four arms)."""
+    res = run_tail_arms()
+    return {
+        "experiment": "E26 pinned tail pipeline (p99 objective, "
+                      "adaptive hedging, SLO burn)",
+        "config": res["config"],
+        "mean": _tail_objective_doc(res["mean"]),
+        "p99": _tail_objective_doc(res["p99"]),
+        "hedge_fixed": _tail_hedge_doc(res["hedge_fixed"]),
+        "hedge_adaptive": _tail_hedge_doc(res["hedge_adaptive"]),
+        "p99_tail_cut": res["p99_tail_cut"],
+        "hedge_p99_cut": res["hedge_p99_cut"],
+        "sketch_rel_err": res["sketch_rel_err"],
+        "max_sketch_rel_err": MAX_SKETCH_REL_ERR,
+        "max_hedge_overhead": MAX_HEDGE_OVERHEAD,
+    }
+
+
+def compare_tail(current: Dict[str, Any],
+                 baseline: Dict[str, Any]) -> List[str]:
+    """Violations of the tail gate against its baseline doc."""
+    violations = pinned(current, baseline, ("mean", "p99"),
+                        PINNED_TAIL_OBJECTIVE_FIELDS, "tail")
+    violations += pinned(current, baseline,
+                         ("hedge_fixed", "hedge_adaptive"),
+                         PINNED_TAIL_HEDGE_FIELDS, "tail")
+    if current.get("p99", {}).get("flip_index") is None:
+        violations.append(
+            "tail: the p99-steered optimizer never flipped to the "
+            "tight-tail impl — the tail objective is not steering")
+    if not current.get("mean", {}).get("stuck_on_bimodal", False):
+        violations.append(
+            "tail: the mean-steered arm left the bimodal impl — the "
+            "trap no longer distinguishes mean from tail steering")
+    fixed_p99 = current.get("hedge_fixed", {}).get("p99_s", 0.0)
+    adaptive_p99 = current.get("hedge_adaptive", {}).get("p99_s",
+                                                         float("inf"))
+    if adaptive_p99 >= fixed_p99:
+        violations.append(
+            f"tail: adaptive hedging no longer beats the fixed delay "
+            f"({adaptive_p99:.6f} s p99 vs {fixed_p99:.6f} s fixed)")
+    max_overhead = baseline.get("max_hedge_overhead", 1.0)
+    launch_fraction = current.get("hedge_adaptive",
+                                  {}).get("launch_fraction", 0.0)
+    if launch_fraction > max_overhead:
+        violations.append(
+            f"tail: adaptive hedging launches duplicates for "
+            f"{launch_fraction:.1%} of requests (bound "
+            f"{max_overhead:.0%})")
+    max_err = baseline.get("max_sketch_rel_err", 1.0)
+    rel_err = current.get("sketch_rel_err", 0.0)
+    if rel_err > max_err:
+        violations.append(
+            f"tail: worst sketch-vs-exact quantile error "
+            f"{rel_err:.2%} across the latency streams (bound "
+            f"{max_err:.0%})")
+    return violations
+
+
+def tail_summary(doc: Dict[str, Any]) -> str:
+    """The tail gate's one-line report."""
+    ha = doc["hedge_adaptive"]
+    return (f"p99 {doc['mean']['p99_s'] * 1e3:.0f} ms (objective=mean) "
+            f"-> {doc['p99']['p99_s'] * 1e3:.0f} ms (objective=p99), "
+            f"hedge p99 {doc['hedge_fixed']['p99_s'] * 1e3:.0f} ms "
+            f"(fixed) -> {ha['p99_s'] * 1e3:.0f} ms (adaptive, "
+            f"{ha['launch_fraction']:.0%} launches), sketch err "
+            f"{doc['sketch_rel_err']:.2%}")

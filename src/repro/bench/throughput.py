@@ -14,7 +14,7 @@ a CI bar — runners disagree by integer factors. Instead the same
 workload runs twice in one process: once on the live stack and once on
 the frozen pre-refactor stack (:mod:`repro.bench._reference`, a
 byte-level snapshot of the seed modules). The regress gate
-(``python -m repro.bench.regress --only-throughput``) requires
+(``python -m repro.bench.regress --gate throughput``) requires
 
 * ``current.events_per_sec / reference.events_per_sec >= min_speedup``
   (the committed bar is 5x), and
@@ -63,7 +63,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -74,6 +73,7 @@ from ..core.functions import FunctionImpl
 from ..core.system import PCSICloud
 from ..faas.platforms import WASM
 from ..sim.rng import RandomStream
+from .result import fingerprint, pinned
 
 #: Seed for the hot-loop delay/label streams.
 ENGINE_SEED = 4242
@@ -100,12 +100,6 @@ INTERRUPT_PAIRS = 100
 INVOKE_WARMUP = 25
 INVOKE_COUNT = 1500
 INVOKE_WORK_OPS = 5e5
-
-
-def _digest(payload: Any) -> str:
-    """Deterministic 16-hex digest of a JSON-serializable payload."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 class Stack:
@@ -348,7 +342,7 @@ def run_hot_loop_bench(stack_name: str = "current",
     wall = time.perf_counter() - start
 
     events = sim._seq
-    fingerprint = _digest({
+    digest = fingerprint({
         "done": done,
         "events": events,
         "now": repr(sim.now),
@@ -367,7 +361,7 @@ def run_hot_loop_bench(stack_name: str = "current",
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "final_now": sim.now,
         "spans": tracer.span_count,
-        "fingerprint": fingerprint,
+        "fingerprint": digest,
         "histogram_backend": histogram_backend,
         "histogram_bytes": histogram_state_bytes(metrics),
     }
@@ -420,9 +414,9 @@ def run_invoke_bench(serial: bool = False) -> Dict[str, Any]:
                  bool(inv.cold_start), repr(inv.submitted_at),
                  repr(inv.latency)]
                 for inv in cloud.scheduler.history[history_mark:]]
-    fingerprint = _digest({"outcomes": outcomes,
-                           "counters": cloud.metrics.counters(),
-                           "now": repr(cloud.sim.now)})
+    digest = fingerprint({"outcomes": outcomes,
+                          "counters": cloud.metrics.counters(),
+                          "now": repr(cloud.sim.now)})
     return {
         "invokes": completed,
         "events": events,
@@ -431,7 +425,7 @@ def run_invoke_bench(serial: bool = False) -> Dict[str, Any]:
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "batched": (not serial
                     and getattr(cloud, "invoke_many", None) is not None),
-        "fingerprint": fingerprint,
+        "fingerprint": digest,
     }
 
 
@@ -509,6 +503,78 @@ def run_backend_probe(repeat: int = 1) -> Dict[str, Any]:
                          if sketch_bytes else 0.0),
         "repeat": repeat,
     }
+
+
+# ------------------------------------------------------ regression gate
+
+#: The hot-loop refactor must keep at least this events/sec multiple
+#: over the frozen pre-refactor stack (machine-relative, so the bar
+#: holds on any runner).
+MIN_SPEEDUP = 5.0
+
+#: Gate timing repeats per stack; the fastest wins (shared runners are
+#: noisy).
+GATE_REPEAT = 3
+
+
+def run_throughput_gate() -> Dict[str, Any]:
+    """Run the pinned hot-loop and invoke benchmarks for the gate.
+
+    Besides the timed cross-stack report, runs the invoke bench once in
+    forced-serial mode so the batched ``invoke_many`` path is pinned
+    byte-identical to a serial ``invoke`` loop.
+    """
+    report = run_benchmarks(repeat=GATE_REPEAT)
+    serial = run_invoke_bench(serial=True)
+    return {
+        "experiment": "hot-loop throughput (current vs frozen reference)",
+        "min_speedup": MIN_SPEEDUP,
+        "speedup": report["speedup"],
+        "hot_loop_fingerprint": report["engine"]["fingerprint"],
+        "invoke_fingerprint": report["invoke"]["fingerprint"],
+        "batched_matches_serial": (report["invoke"]["fingerprint"]
+                                   == serial["fingerprint"]),
+        # Informational (machine-dependent, never compared):
+        "current_events_per_sec": report["engine"]["events_per_sec"],
+        "reference_events_per_sec":
+            report["reference"]["events_per_sec"],
+        "invokes_per_sec": report["invoke"]["invokes_per_sec"],
+        "events": report["engine"]["events"],
+        "repeat": report["repeat"],
+    }
+
+
+def compare_throughput(current: Dict[str, Any],
+                       baseline: Dict[str, Any]) -> List[str]:
+    """Violations of the throughput gate against its baseline doc.
+
+    The two fingerprints are pinned exactly; the speedup is a
+    machine-relative floor, so absolute events/sec never enters the
+    comparison.
+    """
+    violations = pinned(current, baseline, (None,),
+                        ("hot_loop_fingerprint", "invoke_fingerprint"),
+                        "throughput")
+    min_speedup = baseline.get("min_speedup", MIN_SPEEDUP)
+    speedup = current.get("speedup", 0.0)
+    if speedup < min_speedup:
+        violations.append(
+            f"throughput: current stack is only {speedup:.2f}x the "
+            f"frozen pre-refactor stack (required >= "
+            f"{min_speedup:.1f}x)")
+    if not current.get("batched_matches_serial", False):
+        violations.append(
+            "throughput: invoke_many outcomes diverged from the "
+            "serial invoke loop")
+    return violations
+
+
+def throughput_summary(doc: Dict[str, Any]) -> str:
+    """The throughput gate's one-line report."""
+    return (f"{doc['current_events_per_sec']:,.0f} ev/s (current) vs "
+            f"{doc['reference_events_per_sec']:,.0f} ev/s "
+            f"(pre-refactor), {doc['speedup']:.2f}x, "
+            f"{doc['invokes_per_sec']:,.0f} invokes/s")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.bench.regress import (
-    attribution_baseline_path,
+    BASELINE_DIR,
+    GATES,
     compare_attribution,
     main,
     run_attribution_gate,
@@ -31,8 +32,8 @@ def test_gate_meets_its_own_bar(attribution_doc):
 
 def test_gate_matches_checked_in_baseline(attribution_doc):
     """The repo baseline is fresh: a clean checkout replays it exactly."""
-    baseline = json.loads(
-        attribution_baseline_path().read_text(encoding="utf-8"))
+    baseline = json.loads((BASELINE_DIR / GATES["attribution"].baseline)
+                          .read_text(encoding="utf-8"))
     assert compare_attribution(attribution_doc, baseline) == []
 
 
@@ -73,32 +74,22 @@ def test_compare_flags_static_arm_leaving_npu(attribution_doc):
 
 
 def test_cli_only_attribution_update_then_compare_and_perturb(tmp_path):
-    ab = tmp_path / "attribution.json"
-    out = tmp_path / "attribution_out.json"
-    assert main(["--only-attribution", "--update",
-                 "--attribution-baseline", str(ab)]) == 0
+    argv = ["--gate", "attribution", "--baseline-dir", str(tmp_path)]
+    out = tmp_path / "artifacts"
+    assert main(argv + ["--update"]) == 0
+    ab = tmp_path / GATES["attribution"].baseline
     doc = json.loads(ab.read_text())
     assert doc["gap_closed"] >= doc["min_gap_closed"]
-    assert main(["--only-attribution",
-                 "--attribution-baseline", str(ab),
-                 "--attribution-out", str(out)]) == 0
-    assert json.loads(out.read_text())["ema"]["decision_fingerprint"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads((out / "attribution.json").read_text()
+                      )["ema"]["decision_fingerprint"]
 
     # Perturb a pinned fingerprint: the gate must fail.
     doc["static"]["decision_fingerprint"] = "f" * 16
     ab.write_text(json.dumps(doc))
-    assert main(["--only-attribution",
-                 "--attribution-baseline", str(ab)]) == 1
+    assert main(argv) == 1
 
 
 def test_cli_missing_attribution_baseline_is_usage_error(tmp_path):
-    assert main(["--only-attribution",
-                 "--attribution-baseline",
-                 str(tmp_path / "nope.json")]) == 2
-
-
-def test_cli_only_and_skip_attribution_are_exclusive():
-    with pytest.raises(SystemExit):
-        main(["--only-attribution", "--skip-attribution"])
-    with pytest.raises(SystemExit):
-        main(["--only-attribution", "--only-chaos"])
+    assert main(["--gate", "attribution",
+                 "--baseline-dir", str(tmp_path)]) == 2

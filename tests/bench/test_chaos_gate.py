@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.regress import compare_chaos, main, run_chaos_gate
+from repro.bench.regress import GATES, compare_chaos, main, run_chaos_gate
 
 
 @pytest.fixture(scope="module")
@@ -66,27 +66,20 @@ def test_compare_chaos_flags_broken_replay(chaos_doc):
 
 
 def test_cli_only_chaos_update_then_compare_and_perturb(tmp_path):
-    cb = tmp_path / "chaos.json"
-    out = tmp_path / "chaos_out.json"
-    assert main(["--only-chaos", "--update",
-                 "--chaos-baseline", str(cb)]) == 0
+    argv = ["--gate", "chaos", "--baseline-dir", str(tmp_path)]
+    out = tmp_path / "artifacts"
+    assert main(argv + ["--update"]) == 0
+    cb = tmp_path / GATES["chaos"].baseline
     doc = json.loads(cb.read_text())
     assert doc["hardened"]["goodput"] > doc["naive"]["goodput"]
-    assert main(["--only-chaos", "--chaos-baseline", str(cb),
-                 "--chaos-out", str(out)]) == 0
-    assert json.loads(out.read_text())["replay_identical"] is True
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads((out / "chaos.json").read_text())["replay_identical"]
 
     # Perturb a pinned count: the gate must fail.
     doc["hardened"]["offered"] += 1
     cb.write_text(json.dumps(doc))
-    assert main(["--only-chaos", "--chaos-baseline", str(cb)]) == 1
+    assert main(argv) == 1
 
 
 def test_cli_missing_chaos_baseline_is_usage_error(tmp_path):
-    assert main(["--only-chaos",
-                 "--chaos-baseline", str(tmp_path / "nope.json")]) == 2
-
-
-def test_cli_rejects_contradictory_flags():
-    with pytest.raises(SystemExit):
-        main(["--only-chaos", "--skip-chaos"])
+    assert main(["--gate", "chaos", "--baseline-dir", str(tmp_path)]) == 2

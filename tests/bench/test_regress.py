@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.regress import (
     ABS_FLOOR,
+    GATES,
     compare,
     compare_autoscale,
     fold_layers,
@@ -87,11 +88,11 @@ def test_compare_missing_and_new_layers():
     assert "other" in violations[0]
 
 
-# -- pinned run + CLI (one small E4 run, reused) -------------------------
+# -- pinned run + CLI (one E4 run, reused) ------------------------------
 
 @pytest.fixture(scope="module")
 def small_run():
-    return run_pinned_e4(requests=1)
+    return run_pinned_e4()
 
 
 def test_pinned_run_produces_layer_totals(small_run):
@@ -111,36 +112,23 @@ def test_pinned_run_emits_labeled_metrics(small_run):
 
 
 def test_cli_update_then_compare_and_perturb(tmp_path):
-    baseline = tmp_path / "base.json"
-    out = tmp_path / "cp.json"
-    metrics = tmp_path / "metrics.json"
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--update", "--skip-autoscale",
-                 "--baseline", str(baseline)]) == 0
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--skip-autoscale",
-                 "--baseline", str(baseline),
-                 "--out", str(out), "--metrics-out", str(metrics)]) == 0
-    assert json.loads(out.read_text())["by_layer"]
-    assert json.loads(metrics.read_text())["counters"]
+    argv = ["--gate", "e4", "--baseline-dir", str(tmp_path)]
+    out = tmp_path / "artifacts"
+    assert main(argv + ["--update"]) == 0
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads((out / "e4.json").read_text())["by_layer"]
+    assert json.loads((out / "e4_metrics.json").read_text())["counters"]
 
     # Perturb one layer in the baseline: the gate must fail.
+    baseline = tmp_path / GATES["e4"].baseline
     doc = json.loads(baseline.read_text())
     doc["by_layer"]["network"] *= 2.0
     baseline.write_text(json.dumps(doc))
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--skip-autoscale",
-                 "--baseline", str(baseline)]) == 1
+    assert main(argv) == 1
 
 
 def test_cli_missing_baseline_is_usage_error(tmp_path):
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--skip-autoscale",
-                 "--baseline", str(tmp_path / "nope.json")]) == 2
+    assert main(["--gate", "e4", "--baseline-dir", str(tmp_path)]) == 2
 
 
 # -- the autoscale sub-gate ------------------------------------------------
@@ -186,36 +174,22 @@ def test_compare_autoscale_flags_pools_that_never_drain(autoscale_doc):
 
 
 def test_cli_autoscale_update_then_compare_and_perturb(tmp_path):
-    e4 = tmp_path / "e4.json"
-    asb = tmp_path / "autoscale.json"
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--update", "--baseline", str(e4),
-                 "--autoscale-baseline", str(asb)]) == 0
+    argv = ["--gate", "e4", "--gate", "autoscale",
+            "--baseline-dir", str(tmp_path)]
+    assert main(argv + ["--update"]) == 0
+    asb = tmp_path / GATES["autoscale"].baseline
     doc = json.loads(asb.read_text())
     assert doc["controlled"]["cold_starts"] < doc["fixed"]["cold_starts"]
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--baseline", str(e4),
-                 "--autoscale-baseline", str(asb)]) == 0
+    assert main(argv) == 0
 
     # Perturb a pinned arm field: the gate must fail.
     doc["controlled"]["cold_starts"] += 5
     asb.write_text(json.dumps(doc))
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--baseline", str(e4),
-                 "--autoscale-baseline", str(asb)]) == 1
+    assert main(argv) == 1
 
 
 def test_cli_missing_autoscale_baseline_is_usage_error(tmp_path):
-    e4 = tmp_path / "e4.json"
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--update", "--skip-autoscale",
-                 "--baseline", str(e4)]) == 0
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--baseline", str(e4),
-                 "--autoscale-baseline",
-                 str(tmp_path / "nope.json")]) == 2
+    argv = ["--baseline-dir", str(tmp_path)]
+    assert main(argv + ["--gate", "e4", "--update"]) == 0
+    # The e4 baseline exists; the missing autoscale one still fails.
+    assert main(argv + ["--gate", "e4", "--gate", "autoscale"]) == 2

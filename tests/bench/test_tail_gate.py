@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro.bench.regress import (
+    BASELINE_DIR,
+    GATES,
     compare_tail,
     main,
     run_tail_gate,
-    tail_baseline_path,
 )
 
 
@@ -31,8 +32,8 @@ def test_gate_meets_its_own_bar(tail_doc):
 
 def test_gate_matches_checked_in_baseline(tail_doc):
     """The repo baseline is fresh: a clean checkout replays it exactly."""
-    baseline = json.loads(
-        tail_baseline_path().read_text(encoding="utf-8"))
+    baseline = json.loads((BASELINE_DIR / GATES["tail"].baseline)
+                          .read_text(encoding="utf-8"))
     assert compare_tail(tail_doc, baseline) == []
 
 
@@ -85,29 +86,21 @@ def test_compare_flags_sketch_accuracy_regression(tail_doc):
 
 
 def test_cli_only_tail_update_then_compare_and_perturb(tmp_path):
-    tb = tmp_path / "tail.json"
-    out = tmp_path / "tail_out.json"
-    assert main(["--only-tail", "--update",
-                 "--tail-baseline", str(tb)]) == 0
+    argv = ["--gate", "tail", "--baseline-dir", str(tmp_path)]
+    out = tmp_path / "artifacts"
+    assert main(argv + ["--update"]) == 0
+    tb = tmp_path / GATES["tail"].baseline
     doc = json.loads(tb.read_text())
     assert doc["p99"]["flip_index"] is not None
-    assert main(["--only-tail", "--tail-baseline", str(tb),
-                 "--tail-out", str(out)]) == 0
-    assert json.loads(out.read_text())["p99"]["decision_fingerprint"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads((out / "tail.json").read_text()
+                      )["p99"]["decision_fingerprint"]
 
     # Perturb a pinned fingerprint: the gate must fail.
     doc["mean"]["latency_fingerprint"] = "f" * 16
     tb.write_text(json.dumps(doc))
-    assert main(["--only-tail", "--tail-baseline", str(tb)]) == 1
+    assert main(argv) == 1
 
 
 def test_cli_missing_tail_baseline_is_usage_error(tmp_path):
-    assert main(["--only-tail",
-                 "--tail-baseline", str(tmp_path / "nope.json")]) == 2
-
-
-def test_cli_only_and_skip_tail_are_exclusive():
-    with pytest.raises(SystemExit):
-        main(["--only-tail", "--skip-tail"])
-    with pytest.raises(SystemExit):
-        main(["--only-tail", "--only-attribution"])
+    assert main(["--gate", "tail", "--baseline-dir", str(tmp_path)]) == 2

@@ -11,7 +11,7 @@ plus the ``compare_throughput`` violation rules on fabricated docs.
 import pytest
 
 from repro.bench import throughput
-from repro.bench.regress import MIN_SPEEDUP, compare_throughput
+from repro.bench.throughput import MIN_SPEEDUP, compare_throughput
 
 
 def _shrink_hot_loop(monkeypatch):
